@@ -120,6 +120,13 @@ func goldenScenarios() []goldenScenario {
 		// Heavier removal instance exercising the loss heap deeper.
 		goldenScenario{Name: "detect-remove-wide", Model: "detection",
 			N: 30, M: 8, Rho: 0.2, Seed: 540, Cover: 0.4},
+		// Dense coverage (the paper's all-cover regime): most items are
+		// covered many times over, so most mutations flip no item's
+		// coverage status and the sparse refreshers skip most sensors.
+		goldenScenario{Name: "cover-dense-place-rho3", Model: "coverage",
+			N: 48, M: 12, Rho: 3, Seed: 550, Cover: 0.92},
+		goldenScenario{Name: "cover-dense-remove-rho1over2", Model: "coverage",
+			N: 40, M: 10, Rho: 0.5, Seed: 551, Cover: 0.92},
 	)
 	return s
 }

@@ -86,8 +86,9 @@ func runPlacementLoop(oracles []submodular.RemovalOracle, cache *marginCache, as
 		assign[best.v] = best.t
 		pending = dropPending(pending, best.v)
 		// Dirty-slot refresh: only best.t's oracle changed — and within
-		// it, only the sensors sharing a target with best.v (sparse
-		// refresh when the oracle supports it; see refreshColumnAfter).
+		// it, only sensors whose marginals best.v's Add may have moved
+		// (sparse refresh when the oracle supports it; see
+		// refreshColumnAfter).
 		refresh(best.t, best.v)
 		colBest[best.t] = cache.argmaxColumn(best.t, pending)
 		for t := 0; t < T; t++ {
@@ -125,15 +126,16 @@ func fillColumn(cache *marginCache, t int, o submodular.RemovalOracle, assign []
 // refreshColumnAfter refreshes slot t's cache column after its oracle
 // absorbed the Add (placement) or Remove (removal) of sensor changed.
 // When the oracle implements the column-sparse refresh contract
-// (submodular.SparseGainRefresher / SparseLossRefresher) only the CSR
-// rows of the targets changed covers are swept — O(affected) work
-// instead of a full O(n + edges) column rebuild — and the contract
-// guarantees the resulting column is bit-identical to a full refresh:
-// unaffected sensors' marginals cannot have changed (their per-target
-// state was untouched by the mutation) and affected sensors are
-// recomputed through the same Gain/Loss arithmetic the bulk sweep is
-// contractually identical to. Oracles without the sparse contract fall
-// back to the full-column fillColumn path.
+// (submodular.SparseGainRefresher / SparseLossRefresher) only the
+// sensors whose marginals the mutation may have moved are recomputed —
+// those sharing a target with changed (detection), or sharing an item
+// whose coverage status may have flipped (coverage) — instead of a
+// full O(n + edges) column rebuild, and the contract guarantees the
+// resulting column is bit-identical to a full refresh: skipped
+// sensors' marginals sum the same terms as before the mutation, and
+// recomputed ones go through the same Gain/Loss arithmetic the bulk
+// sweep is contractually identical to. Oracles without the sparse
+// contract fall back to the full-column fillColumn path.
 func refreshColumnAfter(cache *marginCache, t int, o submodular.RemovalOracle, assign []int, removal bool, changed int) {
 	if removal {
 		if sr, ok := o.(submodular.SparseLossRefresher); ok {

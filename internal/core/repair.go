@@ -20,17 +20,22 @@ import (
 // (AffectedLister enumerates exactly that set), and only the slots
 // whose oracles absorbed a mutation have stale cache columns (the
 // dirty-slot invariant of marginCache). A k-sensor perturbation
-// therefore costs one batch sparse sweep over the union of the changed
-// sensors' CSR rows per touched column (SparseGainRefreshAll /
-// SparseLossRefreshAll), plus a bounded strict-improvement sweep over
-// the damage front.
+// therefore costs one batch sparse refresh per touched column
+// (SparseGainRefreshAll / SparseLossRefreshAll), plus a bounded
+// strict-improvement sweep over the damage front. The refresh
+// recomputes the sensors sharing a target with a changed sensor
+// (detection), or only those sharing an item whose coverage status may
+// have flipped (coverage) — in a dense deployment most moves flip
+// none, so each sweep step costs O(sensor degree) there. The damage
+// front itself is not narrowed: it decides which sensors the sweep
+// re-examines, and so the sweep's outcome.
 //
 // Cache discipline: unlike the one-shot greedy engines — whose cache
 // only needs exact entries for *unassigned* sensors — the Repairer
 // maintains cache[v][t] == oracles[t].Gain(v) (placement) or .Loss(v)
 // (removal) bit-exactly for every sensor, members included. The sparse
-// refreshers already recompute member entries (members yield marginal
-// 0 for non-members' arithmetic to stay exact), and the fallback for
+// refreshers' contract covers member entries too (a skipped entry is
+// exact whether or not its sensor is a member), and the fallback for
 // oracles without the sparse contract is fillColumnAll, which never
 // skips by assignment. The repair sweep reads moves straight from the
 // cache, so its decisions are bit-identical to querying the oracles
@@ -200,11 +205,12 @@ func (r *Repairer) refreshOne(t, changed int) {
 }
 
 // refreshBatch restores column t after its oracle absorbed mutations
-// confined to the changed set — one epoch-dedup sweep over the union of
-// the changed sensors' CSR rows (SparseGainRefreshAll /
-// SparseLossRefreshAll). changed may be a superset of the sensors
-// actually mutated in this column; recompute-not-delta makes the extra
-// rows harmless.
+// confined to the changed set — one epoch-dedup sweep over the changed
+// sensors' CSR rows (SparseGainRefreshAll / SparseLossRefreshAll).
+// changed may be a superset of the sensors actually mutated in this
+// column; recompute-not-delta makes the extra rows harmless, and the
+// coverage oracle's status-flip thresholds grow with len(changed), so
+// they stay conservative.
 func (r *Repairer) refreshBatch(t int, changed []int) {
 	o := r.oracles[t]
 	if r.removal {

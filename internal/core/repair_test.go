@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"cool/internal/energy"
 	"cool/internal/stats"
 	"cool/internal/submodular"
 )
@@ -12,11 +13,20 @@ import (
 // second utility model) for cross-model repair tests.
 func coverageInstance(t *testing.T, rng *stats.RNG, n, m int, rho float64) Instance {
 	t.Helper()
+	u := coverageUtility(t, rng, n, m, []float64{0.6})
+	return Instance{N: n, Period: period(t, rho), Factory: func() submodular.RemovalOracle { return u.Oracle() }}
+}
+
+// coverageUtility builds a coverage utility over n sensors and m items
+// in which each sensor covers item i with probability
+// covers[i%len(covers)].
+func coverageUtility(tb testing.TB, rng *stats.RNG, n, m int, covers []float64) *submodular.CoverageUtility {
+	tb.Helper()
 	items := make([]submodular.CoverageItem, m)
 	for i := range items {
 		var covered []int
 		for v := 0; v < n; v++ {
-			if rng.Bernoulli(0.6) {
+			if rng.Bernoulli(covers[i%len(covers)]) {
 				covered = append(covered, v)
 			}
 		}
@@ -27,9 +37,9 @@ func coverageInstance(t *testing.T, rng *stats.RNG, n, m int, rho float64) Insta
 	}
 	u, err := submodular.NewCoverageUtility(n, items)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return Instance{N: n, Period: period(t, rho), Factory: func() submodular.RemovalOracle { return u.Oracle() }}
+	return u
 }
 
 // allPresent returns a full-fleet mask.
@@ -563,4 +573,121 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// fullRefreshOracle hides the Sparse*Refresher interfaces (and the bulk
+// sweeps) of the oracle it wraps, so a Repairer over it restores every
+// mutated column with fillColumnAll's per-sensor Gain/Loss loop. The
+// AffectedLister stays visible, keeping the damage front — and so
+// RepairStats.Dirty and the sweep order — the same.
+type fullRefreshOracle struct {
+	submodular.RemovalOracle
+	al submodular.AffectedLister
+}
+
+func (o fullRefreshOracle) AppendAffected(buf []int32, v int) []int32 {
+	return o.al.AppendAffected(buf, v)
+}
+
+// TestRepairerDenseSparseMatchesFullRefresh is the dense differential
+// for the coverage refreshers, which skip sensors whose items kept
+// their coverage status: a kill/deploy/drift script on a coverage
+// instance mixing dense items (≈90% of sensors cover each) with sparse
+// ones (≈5%, so statuses do flip and sweeps move) must yield
+// bit-identical RepairStats and schedules whether the columns are
+// refreshed sparsely or rebuilt in full after every mutation.
+func TestRepairerDenseSparseMatchesFullRefresh(t *testing.T) {
+	const n = 60
+	u := coverageUtility(t, stats.NewRNG(613), n, 12, []float64{0.9, 0.05})
+	sparse := func() submodular.RemovalOracle { return u.Oracle() }
+	full := func() submodular.RemovalOracle {
+		o := u.Oracle()
+		return fullRefreshOracle{RemovalOracle: o, al: o}
+	}
+	for _, rho := range []float64{3, 0.5} {
+		script := []func(r *Repairer) (RepairStats, error){
+			func(r *Repairer) (RepairStats, error) { return r.RemoveSensors([]int{3, 17, 42}) },
+			func(r *Repairer) (RepairStats, error) { return r.RemoveSensors([]int{8}) },
+			func(r *Repairer) (RepairStats, error) { return r.AddSensors([]int{17, 42}) },
+			func(r *Repairer) (RepairStats, error) { return r.UpdateRho(2) },
+			func(r *Repairer) (RepairStats, error) { return r.RemoveSensors([]int{5, 6, 59}) },
+			func(r *Repairer) (RepairStats, error) { return r.UpdateRho(rho) },
+			func(r *Repairer) (RepairStats, error) { return r.AddSensors([]int{3, 8, 5}) },
+			func(r *Repairer) (RepairStats, error) { return r.RemoveSensors([]int{0, 1, 2, 4, 7}) },
+			func(r *Repairer) (RepairStats, error) { return r.RepairAll(), nil },
+		}
+		p := period(t, rho)
+		rs, err := NewRepairer(Instance{N: n, Period: p, Factory: sparse})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rf, err := NewRepairer(Instance{N: n, Period: p, Factory: full})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSchedule(t, rs, rf, rho, -1)
+		for op, apply := range script {
+			ss, err := apply(rs)
+			if err != nil {
+				t.Fatalf("rho=%v op %d (sparse): %v", rho, op, err)
+			}
+			sf, err := apply(rf)
+			if err != nil {
+				t.Fatalf("rho=%v op %d (full): %v", rho, op, err)
+			}
+			if ss.Changed != sf.Changed || ss.Dirty != sf.Dirty || ss.Rounds != sf.Rounds ||
+				ss.Moves != sf.Moves || ss.Full != sf.Full ||
+				math.Float64bits(ss.UtilityBefore) != math.Float64bits(sf.UtilityBefore) ||
+				math.Float64bits(ss.Utility) != math.Float64bits(sf.Utility) {
+				t.Fatalf("rho=%v op %d: sparse stats %+v, full-refresh stats %+v", rho, op, ss, sf)
+			}
+			sameSchedule(t, rs, rf, rho, op)
+		}
+	}
+}
+
+func sameSchedule(t *testing.T, a, b *Repairer, rho float64, op int) {
+	t.Helper()
+	sa, err := a.Schedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := b.Schedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !assignmentsEqual(sa.Assignment(), sb.Assignment()) {
+		t.Fatalf("rho=%v op %d: schedules diverged\nsparse %v\n  full %v",
+			rho, op, sa.Assignment(), sb.Assignment())
+	}
+}
+
+// BenchmarkRepairerDenseKill measures a single-sensor kill repair at
+// coold's dense serving shape (n = 1500, m = 150, ≈250 sensors per
+// item, ρ = 3). The killed sensor is deployed back off the clock, so
+// every iteration starts from the same fleet size.
+func BenchmarkRepairerDenseKill(b *testing.B) {
+	const n = 1500
+	u := coverageUtility(b, stats.NewRNG(9), n, 150, []float64{1.0 / 6})
+	p, err := energy.PeriodFromRho(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := NewRepairer(Instance{N: n, Period: p, Factory: func() submodular.RemovalOracle { return u.Oracle() }})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := (i * 7919) % n
+		if _, err := r.RemoveSensors([]int{v}); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if _, err := r.AddSensors([]int{v}); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
 }

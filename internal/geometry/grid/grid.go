@@ -21,11 +21,14 @@
 // whose cell side is at least the maximum item reach, so a query never
 // needs to look beyond the neighbouring cell in each direction. Within
 // a cell, item IDs are ascending (the counting sort is stable over the
-// ascending input enumeration), and CandidatesInto merges the ≤ 9
+// ascending input enumeration), and CandidatesInto sorts the ≤ 9
 // visited buckets into one ascending ID list with zero allocations.
 package grid
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Point is a location in the plane. It is structurally identical to
 // geometry.Point; convert with grid.Point(p).
@@ -340,12 +343,13 @@ func (ix *Index) queryInto(buf []int32, p Point, reach float64) []int32 {
 			}
 		}
 	}
-	// The buffer is a concatenation of ascending runs (overflow, ≤ 3
-	// buckets per visited row — each ascending by the stable counting
-	// sort — and the overlay's ascending insertion order). Insertion
-	// sort is near-linear on such input and allocation-free; candidate
-	// counts are O(local density + overlay size).
-	insertionSort(buf)
+	// The buffer is a concatenation of ascending runs (overflow, one
+	// per visited bucket — ascending by the stable counting sort — and
+	// the overlay's ascending insertion order). Runs from adjacent cells
+	// interleave in ID, so the sort is O(c log c) in the candidate count
+	// c = O(local density + overlay size); slices.Sort is
+	// allocation-free.
+	slices.Sort(buf)
 	return buf
 }
 
@@ -432,19 +436,4 @@ func cellRange(a, win float64, cells int) (lo, hi int, ok bool) {
 		hi = int(hiF)
 	}
 	return lo, hi, true
-}
-
-// insertionSort sorts ids ascending in place. The input is a handful
-// of concatenated ascending runs, for which insertion sort is linear;
-// it also keeps the query path free of sort.Slice's closure allocation.
-func insertionSort(ids []int32) {
-	for i := 1; i < len(ids); i++ {
-		v := ids[i]
-		j := i - 1
-		for j >= 0 && ids[j] > v {
-			ids[j+1] = ids[j]
-			j--
-		}
-		ids[j+1] = v
-	}
 }

@@ -255,6 +255,50 @@ func TestCandidatesIntoReuse(t *testing.T) {
 	}
 }
 
+// TestCandidatesAdversarialDensity is the dense-deployment
+// differential: 6,000 items whose reach is a third of the field give a
+// 3×3 grid, so every in-field query window spans every cell and the
+// candidate buffer concatenates nine interleaved ID runs plus the
+// overflow and overlay runs. The brute-force answer for such a query is
+// every ID, ascending, and the superset check must hold too.
+func TestCandidatesAdversarialDensity(t *testing.T) {
+	const n, span = 6000, 90.0
+	rng := rand.New(rand.NewSource(29))
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{Pos: Point{rng.Float64() * span, rng.Float64() * span}, Reach: span / 3}
+	}
+	// Pin the bounding box to [0, span]², and feed the overflow run.
+	items[0].Pos, items[1].Pos = Point{0, 0}, Point{span, span}
+	for i := 2; i < n; i += 997 {
+		items[i].Reach = math.Inf(1)
+	}
+	ix := Build(items)
+	if c, r := ix.Dims(); c != 3 || r != 3 {
+		t.Fatalf("Dims = %d×%d, want 3×3", c, r)
+	}
+	ix.Grow(100)
+	for k := 0; k < 100; k++ {
+		it := Item{Pos: Point{rng.Float64() * span, rng.Float64() * span}, Reach: 10}
+		ix.Insert(it)
+		items = append(items, it)
+	}
+	buf := make([]int32, 0, len(items))
+	for q := 0; q < 20; q++ {
+		p := Point{rng.Float64() * span, rng.Float64() * span}
+		buf = ix.CandidatesInto(buf, p)
+		if len(buf) != len(items) {
+			t.Fatalf("query %v: %d candidates, want all %d", p, len(buf), len(items))
+		}
+		for i, id := range buf {
+			if int(id) != i {
+				t.Fatalf("query %v: candidate[%d] = %d, want %d", p, i, id, i)
+			}
+		}
+		checkQuery(t, items, ix, p)
+	}
+}
+
 func benchmarkIndex(n int) ([]Item, *Index) {
 	rng := rand.New(rand.NewSource(42))
 	items := make([]Item, n)

@@ -93,6 +93,45 @@ func BenchmarkCoverageOracleBulkGain(b *testing.B) {
 	}
 }
 
+// BenchmarkCoverageSparseGainRefreshDense measures one Add/Remove plus
+// the column refresh at coold's dense serving shape (n = 1500, m = 150,
+// ≈250 sensors per item) with a third of the sensors active: the
+// steady state of a repair sweep, where a toggle flips no item's
+// coverage status and the refresh recomputes only the toggled sensor.
+func BenchmarkCoverageSparseGainRefreshDense(b *testing.B) {
+	const n, m = 1500, 150
+	rng := rand.New(rand.NewSource(13))
+	items := make([]CoverageItem, m)
+	for i := range items {
+		var covered []int
+		for v := 0; v < n; v++ {
+			if rng.Intn(6) == 0 {
+				covered = append(covered, v)
+			}
+		}
+		items[i] = CoverageItem{Value: 1, CoveredBy: covered}
+	}
+	u, err := NewCoverageUtility(n, items)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := u.Oracle()
+	seedOracle(o, n)
+	out := make([]float64, n)
+	o.BulkGain(out)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := i % n
+		if o.Contains(v) {
+			o.Remove(v)
+		} else {
+			o.Add(v)
+		}
+		o.SparseGainRefresh(v, out)
+	}
+}
+
 // BenchmarkEvalOracleGain measures the generic bitset-backed fallback
 // oracle; its cost is dominated by the wrapped Eval.
 func BenchmarkEvalOracleGain(b *testing.B) {

@@ -250,117 +250,90 @@ func (o *CoverageOracle) bumpEpoch() {
 
 // SparseGainRefresh implements SparseGainRefresher: it repairs a gain
 // column after the most recent Add(changed) / Remove(changed) by
-// recomputing only the sensors that share an item with changed. A
-// sensor sharing no item with changed sums its gain over coverage
-// counters the mutation did not touch, so its entry is exact by
-// definition; touched sensors are recomputed via Gain, bit-identical
-// to a full BulkGain sweep by the Bulk contract.
+// recomputing changed and the sensors sharing an item whose coverage
+// status may have flipped (see refreshAll) — the batch form with k = 1.
 func (o *CoverageOracle) SparseGainRefresh(changed int, out []float64) {
-	u := o.u
-	checkElem(changed, u.n)
-	if len(out) != u.n {
-		panic(fmt.Sprintf("submodular: SparseGainRefresh buffer %d != ground size %d", len(out), u.n))
-	}
-	o.bumpEpoch()
-	items, _ := u.sensorItems.Row(changed)
-	for _, item := range items {
-		sensors, _ := u.itemSensors.Row(int(item))
-		for _, v := range sensors {
-			if o.mark[v] == o.epoch {
-				continue
-			}
-			o.mark[v] = o.epoch
-			out[v] = o.Gain(int(v))
-		}
-	}
-	out[changed] = o.Gain(changed)
+	o.refreshAll("SparseGainRefresh", []int{changed}, false, out)
 }
 
 // SparseLossRefresh implements SparseLossRefresher: the removal-side
 // dual of SparseGainRefresh.
 func (o *CoverageOracle) SparseLossRefresh(changed int, out []float64) {
-	u := o.u
-	checkElem(changed, u.n)
-	if len(out) != u.n {
-		panic(fmt.Sprintf("submodular: SparseLossRefresh buffer %d != ground size %d", len(out), u.n))
-	}
-	o.bumpEpoch()
-	items, _ := u.sensorItems.Row(changed)
-	for _, item := range items {
-		sensors, _ := u.itemSensors.Row(int(item))
-		for _, v := range sensors {
-			if o.mark[v] == o.epoch {
-				continue
-			}
-			o.mark[v] = o.epoch
-			out[v] = o.Loss(int(v))
-		}
-	}
-	out[changed] = o.Loss(changed)
+	o.refreshAll("SparseLossRefresh", []int{changed}, true, out)
 }
 
 // SparseGainRefreshAll implements SparseGainBatchRefresher: one epoch,
-// one sweep over the union of the changed sensors' item rows — a
-// sensor covered by items of several changed sensors is recomputed
-// exactly once. Recompute-not-delta keeps every touched entry
-// bit-identical to a fresh Gain under the current state regardless of
-// how many mutations the batch applied.
+// one sweep over the changed sensors' items whose coverage status may
+// have flipped (see refreshAll) — a sensor under several such items is
+// recomputed exactly once.
 func (o *CoverageOracle) SparseGainRefreshAll(changed []int, out []float64) {
-	u := o.u
-	if len(out) != u.n {
-		panic(fmt.Sprintf("submodular: SparseGainRefreshAll buffer %d != ground size %d", len(out), u.n))
-	}
-	o.bumpEpoch()
-	for _, c := range changed {
-		checkElem(c, u.n)
-		items, _ := u.sensorItems.Row(c)
-		for _, item := range items {
-			sensors, _ := u.itemSensors.Row(int(item))
-			for _, v := range sensors {
-				if o.mark[v] == o.epoch {
-					continue
-				}
-				o.mark[v] = o.epoch
-				out[v] = o.Gain(int(v))
-			}
-		}
-	}
-	for _, c := range changed {
-		if o.mark[c] != o.epoch {
-			o.mark[c] = o.epoch
-			out[c] = o.Gain(c)
-		}
-	}
+	o.refreshAll("SparseGainRefreshAll", changed, false, out)
 }
 
 // SparseLossRefreshAll implements SparseLossBatchRefresher: the
 // removal-side dual of SparseGainRefreshAll.
 func (o *CoverageOracle) SparseLossRefreshAll(changed []int, out []float64) {
+	o.refreshAll("SparseLossRefreshAll", changed, true, out)
+}
+
+// refreshAll is the body of the four column refreshers: it recomputes
+// the changed sensors and the sensors of their items whose coverage
+// status may have flipped, and nothing else.
+//
+// Gain reads an item only through counts[item] == 0 and Loss only
+// through counts[item] == 1, so a sensor whose items all kept that
+// status sums the same values in the same order: its cached entry is
+// bit-identical to a fresh Gain/Loss without recomputing it, for any
+// item weights. k = len(changed) mutations move each count by at most
+// k, so an item whose post-mutation count exceeds k was and is covered
+// (gain status unchanged), and one whose count exceeds k+1 was and is
+// covered more than once (loss status unchanged). These bounds hold for
+// Add and Remove alike and stay conservative when changed lists more
+// sensors than were mutated. The changed sensors flip membership, so
+// they are always recomputed. Every written entry comes from Gain/Loss
+// (recompute, never delta). Cost: Σ over status-flipped items of item
+// degree × sensor degree, plus O(sensor degree) per changed sensor — in
+// a dense field most mutations flip nothing.
+func (o *CoverageOracle) refreshAll(op string, changed []int, loss bool, out []float64) {
 	u := o.u
 	if len(out) != u.n {
-		panic(fmt.Sprintf("submodular: SparseLossRefreshAll buffer %d != ground size %d", len(out), u.n))
+		panic(fmt.Sprintf("submodular: %s buffer %d != ground size %d", op, len(out), u.n))
+	}
+	limit := int32(len(changed))
+	if loss {
+		limit++
 	}
 	o.bumpEpoch()
 	for _, c := range changed {
 		checkElem(c, u.n)
 		items, _ := u.sensorItems.Row(c)
 		for _, item := range items {
+			if o.counts[item] > limit {
+				continue
+			}
 			sensors, _ := u.itemSensors.Row(int(item))
 			for _, v := range sensors {
-				if o.mark[v] == o.epoch {
-					continue
+				if o.mark[v] != o.epoch {
+					o.mark[v] = o.epoch
+					out[v] = o.marginal(int(v), loss)
 				}
-				o.mark[v] = o.epoch
-				out[v] = o.Loss(int(v))
 			}
 		}
 	}
 	for _, c := range changed {
 		if o.mark[c] != o.epoch {
 			o.mark[c] = o.epoch
-			out[c] = o.Loss(c)
+			out[c] = o.marginal(c, loss)
 		}
 	}
+}
+
+// marginal is Loss(v) when loss is set and Gain(v) otherwise.
+func (o *CoverageOracle) marginal(v int, loss bool) float64 {
+	if loss {
+		return o.Loss(v)
+	}
+	return o.Gain(v)
 }
 
 // AppendAffected implements AffectedLister: every sensor sharing an

@@ -117,13 +117,15 @@ type BulkLosser interface {
 // BulkGain snapshot of that state). SparseGainRefresh(changed, out)
 // must rewrite out in place so that out[u] is bit-identical to Gain(u)
 // under the *current* state for every u — while it may read or write
-// only entries whose gain the mutation could have affected (for the
-// incidence-backed oracles: sensors sharing at least one target/item
-// with changed, plus changed itself). Elements outside that set are
-// exact by definition — their marginals sum over per-target state the
-// mutation did not touch — which is what makes the sparse sweep an
-// exactness-preserving replacement for a full column refresh, not an
-// approximation.
+// only entries whose gain the mutation could have affected: changed
+// itself, plus, for DetectionOracle, the sensors sharing at least one
+// target with changed, and for CoverageOracle, the sensors sharing an
+// item whose coverage status may have flipped (its marginal reads an
+// item only through "uncovered" / "critically covered"). Elements
+// outside that set are exact by definition — their marginals sum the
+// same per-target terms in the same order as before the mutation —
+// which is what makes the sparse sweep an exactness-preserving
+// replacement for a full column refresh, not an approximation.
 //
 // SparseGainRefresh may use internal scratch (it is NOT a concurrent
 // read in the ConcurrentReadSafe sense) and must not allocate. The
@@ -151,13 +153,14 @@ type SparseLossRefresher interface {
 // SparseGainRefreshAll(changed, out) must rewrite out in place so that
 // out[u] is bit-identical to Gain(u) under the *current* state for
 // every u, sweeping the union of the changed elements' incidence rows
-// exactly once (epoch-deduplicated): an element sharing no target/item
-// with any changed element sums its marginal over per-target state
-// none of the mutations touched, so its entry is exact by definition.
-// Cost is one sweep over the union of the changed rows — O(Σ affected)
-// for a k-element perturbation instead of k separate sparse sweeps
-// with re-deduplication. Like the single-mutation form it may use
-// internal scratch and must not allocate.
+// exactly once (epoch-deduplicated): an element sharing no target with
+// any changed element — for CoverageOracle, no item whose coverage
+// status may have flipped — sums the same per-target terms as before,
+// so its entry is exact by definition. Cost is one sweep over the union
+// of the changed rows — O(Σ affected) for a k-element perturbation
+// instead of k separate sparse sweeps with re-deduplication. Like the
+// single-mutation form it may use internal scratch and must not
+// allocate.
 type SparseGainBatchRefresher interface {
 	SparseGainRefreshAll(changed []int, out []float64)
 }
