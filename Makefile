@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race vet bench bench-parallel bench-mem bench-grid bench-netsim bench-kernels bench-shard bench-replan bench-lifetime coold-e2e coold-crash figures examples fuzz clean
+.PHONY: all build test test-short race vet fmt-check bench bench-parallel bench-mem bench-grid bench-netsim bench-kernels bench-shard bench-replan bench-lifetime coold-e2e coold-crash figures examples fuzz clean
 
 all: build vet test
 
@@ -11,6 +11,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails, listing the files, when any Go file is not gofmt-formatted.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -127,6 +127,14 @@ func goldenScenarios() []goldenScenario {
 			N: 48, M: 12, Rho: 3, Seed: 550, Cover: 0.92},
 		goldenScenario{Name: "cover-dense-remove-rho1over2", Model: "coverage",
 			N: 40, M: 10, Rho: 0.5, Seed: 551, Cover: 0.92},
+		// Sparse coverage plateau: every item is covered in every slot
+		// long before the last step, after which every marginal is zero
+		// and each remaining step is decided by the lowest-(v, t) rule
+		// alone, with all slot columns sharing the same best sensor.
+		goldenScenario{Name: "cover-plateau-place-rho3", Model: "coverage",
+			N: 200, M: 20, Rho: 3, Seed: 560, Cover: 0.05},
+		goldenScenario{Name: "cover-plateau-remove-rho1over2", Model: "coverage",
+			N: 200, M: 20, Rho: 0.5, Seed: 561, Cover: 0.05},
 	)
 	return s
 }
@@ -313,3 +321,30 @@ func assignmentsEqual(a, b []int) bool {
 }
 
 func float64bits(f float64) uint64 { return math.Float64bits(f) }
+
+// TestGoldenPlateauReached pins the purpose of the plateau scenario:
+// its placement greedy runs out of positive gains in the first half of
+// the run, so most steps are all-zero-gain tie-breaks.
+func TestGoldenPlateauReached(t *testing.T) {
+	for _, scn := range goldenScenarios() {
+		if scn.Name != "cover-plateau-place-rho3" {
+			continue
+		}
+		_, steps, err := GreedyWithTrace(buildGoldenInstance(t, scn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := -1
+		for i, s := range steps {
+			if s.Gain != 0 {
+				last = i
+			}
+		}
+		if last < 0 || last >= len(steps)/2 {
+			t.Fatalf("last positive gain at step %d of %d, want within the first half", last, len(steps))
+		}
+		t.Logf("plateau from step %d of %d", last+1, len(steps))
+		return
+	}
+	t.Fatal("plateau scenario missing from the corpus")
+}

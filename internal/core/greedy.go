@@ -16,85 +16,101 @@ func Greedy(in Instance) (*Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if ModeFor(in.Period) == ModePlacement {
-		return greedyPlacement(in)
-	}
-	return greedyRemoval(in)
+	return greedyOver(in, nil)
 }
 
-// greedyPlacement is Algorithm 1: repeatedly assign the (sensor, slot)
-// pair with the maximum incremental utility until every sensor is
-// scheduled. It carries a dirty-slot marginal cache (see marginCache)
-// plus one cached best candidate per slot: after a step only the slot
-// that received the Add has stale gains, so each step refreshes one
-// column (a column-sparse sweep over just the sensors sharing a target
-// with the added sensor when the oracle supports the sparse-refresh
-// contract, a single bulk sweep otherwise) and rescans
-// only the columns the step could have changed — the dirty column, and
-// any column whose cached best was the just-assigned sensor. Removing a
-// sensor that is *not* a column's recorded argmax can never change that
-// column's strict-scan result (an equal-valued lower-v sensor would
-// have been recorded instead), so untouched candidates stay exact and
-// the schedule remains bit-identical to the seed's eager O(n·T) scan.
-// Column rescans iterate a compacted ascending list of unassigned
-// sensors (see argmaxColumn) rather than all n with a skip branch;
-// the visit order is unchanged, only dead work is removed.
-func greedyPlacement(in Instance) (*Schedule, error) {
+// greedyOver runs the cached greedy over the sensors with present[v]
+// (every sensor when present is nil); the others get the Absent
+// assignment and never enter an oracle. Placement (Algorithm 1)
+// repeatedly assigns the (sensor, slot) pair with the maximum
+// incremental utility; removal (ρ ≤ 1) starts from "every sensor active
+// in every slot" and gives each sensor the passive slot whose removal
+// loses the least. Both run runGreedyLoop over a dirty-slot marginal
+// cache (see marginCache).
+func greedyOver(in Instance, present []bool) (*Schedule, error) {
 	T := in.Period.Slots()
-	oracles := make([]submodular.RemovalOracle, T)
-	for t := range oracles {
-		oracles[t] = in.Factory()
-	}
+	mode := ModeFor(in.Period)
+	removal := mode == ModeRemoval
 	assign := newAssignment(in.N)
-	pending := newPending(in.N)
-	cache := newMarginCache(in.N, T)
-	for t := 0; t < T; t++ {
-		fillColumn(cache, t, oracles[t], assign, false)
+	pending := make([]int, 0, in.N)
+	for v := 0; v < in.N; v++ {
+		if present == nil || present[v] {
+			pending = append(pending, v)
+		} else {
+			assign[v] = Absent
+		}
 	}
-	err := runPlacementLoop(oracles, cache, assign, pending, func(t, changed int) {
-		refreshColumnAfter(cache, t, oracles[t], assign, false, changed)
+	oracles := make([]submodular.RemovalOracle, T)
+	cache := newMarginCache(in.N, T)
+	for t := range oracles {
+		o := in.Factory()
+		if removal {
+			for _, v := range pending {
+				o.Add(v)
+			}
+		}
+		oracles[t] = o
+		fillColumn(cache, t, o, assign, removal)
+	}
+	err := runGreedyLoop(oracles, cache, assign, pending, removal, func(t, changed int) bool {
+		return refreshColumnAfter(cache, t, oracles[t], assign, removal, changed)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return NewSchedule(ModePlacement, T, assign)
+	return NewSchedule(mode, T, assign)
 }
 
-// runPlacementLoop is the shared body of the placement greedy: it
-// assigns every sensor of pending (ascending, all unassigned) to its
-// argmax slot, maintaining the per-column candidate tracking described
-// on greedyPlacement. The cache must hold exact gains for every pending
-// sensor on entry; after each Add the loop calls refresh(t, changed) to
-// restore exactness of the mutated column. Extracting the loop lets the
-// incremental Repairer insert perturbation batches through the *same*
-// code path as the full plan, so a repairer insertion is bit-identical
-// to the greedy having scheduled those sensors last. The pending slice
-// is consumed.
-func runPlacementLoop(oracles []submodular.RemovalOracle, cache *marginCache, assign []int, pending []int, refresh func(t, changed int)) error {
-	T := len(oracles)
-	colBest := make([]candidate, T)
-	for t := 0; t < T; t++ {
-		colBest[t] = cache.argmaxColumn(t, pending)
+// runGreedyLoop is the one body of both greedy forms: it gives every
+// sensor of pending (ascending, all unassigned) its slot — the maximum
+// gain slot in placement mode, the minimum loss passive slot in removal
+// mode — in greedy order. The cache must hold exact marginals for every
+// pending sensor on entry; after each Add (placement) or Remove
+// (removal) the loop calls refresh(t, changed), which must restore the
+// exactness of the mutated column and report whether it rewrote the
+// whole column (full) or only the sensors it listed in cache.written.
+// Sharing the loop lets the incremental Repairer insert perturbation
+// batches through the *same* code path as the full plan, so a repairer
+// insertion is bit-identical to the greedy having scheduled those
+// sensors last.
+//
+// Selection keeps one tournament tree per slot over the positions of
+// pending, keyed by the gain or by the negated loss, so both modes pick
+// the largest key. Ties go to the left child — the lower position and,
+// pending being ascending, the lower sensor — and best merges the roots
+// with ties to the lower sensor, then the lower slot, which is exactly
+// the lowest-(v, t) rule of the seed's eager O(n·T) scan: the schedule
+// is bit-identical to it. A step kills the chosen sensor's leaf in
+// every tree and re-keys only the leaves the refresh rewrote, each in
+// O(log n) with an early exit, instead of rescanning whole columns.
+func runGreedyLoop(oracles []submodular.RemovalOracle, cache *marginCache, assign, pending []int, removal bool, refresh func(t, changed int) (full bool)) error {
+	sign := 1.0
+	if removal {
+		sign = -1
 	}
-	steps := len(pending)
-	for step := 0; step < steps; step++ {
-		best := bestOfColumnsMax(colBest)
-		if best.v < 0 {
+	cache.buildTrees(pending, sign)
+	for step := range pending {
+		p, t := cache.best()
+		if t < 0 {
+			for _, v := range pending {
+				cache.posOf[v] = -1
+			}
 			return fmt.Errorf("core: greedy found no candidate at step %d", step)
 		}
-		oracles[best.t].Add(best.v)
-		assign[best.v] = best.t
-		pending = dropPending(pending, best.v)
-		// Dirty-slot refresh: only best.t's oracle changed — and within
-		// it, only sensors whose marginals best.v's Add may have moved
-		// (sparse refresh when the oracle supports it; see
-		// refreshColumnAfter).
-		refresh(best.t, best.v)
-		colBest[best.t] = cache.argmaxColumn(best.t, pending)
-		for t := 0; t < T; t++ {
-			if t != best.t && colBest[t].v == best.v {
-				colBest[t] = cache.argmaxColumn(t, pending)
-			}
+		v := pending[p]
+		if removal {
+			oracles[t].Remove(v)
+		} else {
+			oracles[t].Add(v)
+		}
+		assign[v] = t
+		cache.kill(p, v)
+		// Dirty-slot refresh: only t's oracle changed — and within it,
+		// only the sensors v's mutation may have moved.
+		if refresh(t, v) {
+			cache.rebuildTree(t, pending, sign)
+		} else {
+			cache.repairTree(t, sign)
 		}
 	}
 	return nil
@@ -124,90 +140,42 @@ func fillColumn(cache *marginCache, t int, o submodular.RemovalOracle, assign []
 }
 
 // refreshColumnAfter refreshes slot t's cache column after its oracle
-// absorbed the Add (placement) or Remove (removal) of sensor changed.
-// When the oracle implements the column-sparse refresh contract
-// (submodular.SparseGainRefresher / SparseLossRefresher) only the
-// sensors whose marginals the mutation may have moved are recomputed —
-// those sharing a target with changed (detection), or sharing an item
-// whose coverage status may have flipped (coverage) — instead of a
-// full O(n + edges) column rebuild, and the contract guarantees the
-// resulting column is bit-identical to a full refresh: skipped
-// sensors' marginals sum the same terms as before the mutation, and
-// recomputed ones go through the same Gain/Loss arithmetic the bulk
-// sweep is contractually identical to. Oracles without the sparse
-// contract fall back to the full-column fillColumn path.
-func refreshColumnAfter(cache *marginCache, t int, o submodular.RemovalOracle, assign []int, removal bool, changed int) {
-	if removal {
-		if sr, ok := o.(submodular.SparseLossRefresher); ok {
-			sr.SparseLossRefresh(changed, cache.column(t))
-			return
-		}
-	} else if sr, ok := o.(submodular.SparseGainRefresher); ok {
-		sr.SparseGainRefresh(changed, cache.column(t))
-		return
+// absorbed the Add (placement) or Remove (removal) of sensor changed,
+// reporting whether it rewrote the full column. With the column-sparse
+// refresh contract (submodular.SparseGainRefresher /
+// SparseLossRefresher; see sparseRefresh) only the sensors whose
+// marginals the mutation may have moved are recomputed and listed in
+// cache.written; oracles without it fall back to the full-column
+// fillColumn path.
+func refreshColumnAfter(cache *marginCache, t int, o submodular.RemovalOracle, assign []int, removal bool, changed int) (full bool) {
+	if sparseRefresh(cache, t, o, removal, changed) {
+		return false
 	}
 	fillColumn(cache, t, o, assign, removal)
+	return true
 }
 
-// greedyRemoval is the ρ ≤ 1 scheme: start from "every sensor active in
-// every slot" and, sensor by sensor, choose the passive slot whose
-// removal loses the least utility. It uses the same dirty-slot cache
-// and per-column candidate tracking as greedyPlacement, on the loss
-// side.
-func greedyRemoval(in Instance) (*Schedule, error) {
-	T := in.Period.Slots()
-	oracles := make([]submodular.RemovalOracle, T)
-	for t := range oracles {
-		o := in.Factory()
-		for v := 0; v < in.N; v++ {
-			o.Add(v)
+// sparseRefresh applies the oracle's single-mutation sparse refresher
+// to slot t's column, recording the rewritten sensors in cache.written,
+// and reports whether the oracle has one. The refresher recomputes
+// changed and the sensors sharing a target with it (detection), or
+// sharing an item whose coverage status may have flipped (coverage),
+// instead of a full O(n + edges) column rebuild, and its contract
+// guarantees the column ends bit-identical to a full refresh: skipped
+// sensors' marginals sum the same terms as before the mutation, and
+// recomputed ones go through the same Gain/Loss arithmetic the bulk
+// sweep is contractually identical to.
+func sparseRefresh(cache *marginCache, t int, o submodular.RemovalOracle, removal bool, changed int) bool {
+	if removal {
+		if sr, ok := o.(submodular.SparseLossRefresher); ok {
+			cache.written = sr.SparseLossRefresh(changed, cache.column(t), cache.written[:0])
+			return true
 		}
-		oracles[t] = o
+	} else if sr, ok := o.(submodular.SparseGainRefresher); ok {
+		cache.written = sr.SparseGainRefresh(changed, cache.column(t), cache.written[:0])
+		return true
 	}
-	assign := newAssignment(in.N)
-	pending := newPending(in.N)
-	cache := newMarginCache(in.N, T)
-	for t := 0; t < T; t++ {
-		fillColumn(cache, t, oracles[t], assign, true)
-	}
-	err := runRemovalLoop(oracles, cache, assign, pending, func(t, changed int) {
-		refreshColumnAfter(cache, t, oracles[t], assign, true, changed)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return NewSchedule(ModeRemoval, T, assign)
-}
-
-// runRemovalLoop is the loss-side dual of runPlacementLoop: every
-// sensor of pending receives the passive slot whose removal loses the
-// least utility, with the same per-column candidate tracking and the
-// same exact-cache/refresh contract. Shared by greedyRemoval and the
-// incremental Repairer. The pending slice is consumed.
-func runRemovalLoop(oracles []submodular.RemovalOracle, cache *marginCache, assign []int, pending []int, refresh func(t, changed int)) error {
-	T := len(oracles)
-	colBest := make([]candidate, T)
-	for t := 0; t < T; t++ {
-		colBest[t] = cache.argminColumn(t, pending)
-	}
-	steps := len(pending)
-	for step := 0; step < steps; step++ {
-		best := bestOfColumnsMin(colBest)
-		if best.v < 0 {
-			return fmt.Errorf("core: removal greedy found no candidate at step %d", step)
-		}
-		oracles[best.t].Remove(best.v)
-		assign[best.v] = best.t
-		pending = dropPending(pending, best.v)
-		refresh(best.t, best.v)
-		colBest[best.t] = cache.argminColumn(best.t, pending)
-		for t := 0; t < T; t++ {
-			if t != best.t && colBest[t].v == best.v {
-				colBest[t] = cache.argminColumn(t, pending)
-			}
-		}
-	}
-	return nil
+	return false
 }
 
 // newAssignment returns an all-unassigned (-1) slot-assignment vector.
@@ -220,8 +188,7 @@ func newAssignment(n int) []int {
 }
 
 // newPending returns the ascending list of all n sensors — the
-// sequential engines' compacted work list, shrunk by dropPending as
-// sensors are scheduled so column rescans touch only live candidates.
+// greedy loop's work list.
 func newPending(n int) []int {
 	pending := make([]int, n)
 	for v := range pending {
@@ -232,8 +199,7 @@ func newPending(n int) []int {
 
 // rangePending returns the ascending list of the sensors in [lo, hi) —
 // one parallel worker's compacted sublist of its static sensor range,
-// shrunk by dropPending as sensors are scheduled, mirroring the
-// sequential engine's newPending over the full ground set.
+// shrunk by dropPending as sensors are scheduled.
 func rangePending(lo, hi int) []int {
 	pending := make([]int, hi-lo)
 	for i := range pending {
@@ -246,66 +212,19 @@ func rangePending(lo, hi int) []int {
 // sensors with present[v] == false receive the Absent assignment and
 // never enter any oracle, and the greedy runs over the survivors
 // exactly as Greedy would on a compacted instance (same floats, same
-// lowest-(v, t) tie-breaks — the pending-list scans simply skip the
-// absent IDs). A nil present schedules everyone, making
-// GreedySubset(in, nil) bit-identical to Greedy(in). This is the
-// incremental Repairer's ground truth: the from-scratch plan for the
-// current fleet, with stable sensor IDs.
+// lowest-(v, t) tie-breaks — the pending list simply skips the absent
+// IDs). A nil present schedules everyone, making GreedySubset(in, nil)
+// bit-identical to Greedy(in). This is the incremental Repairer's
+// ground truth: the from-scratch plan for the current fleet, with
+// stable sensor IDs.
 func GreedySubset(in Instance, present []bool) (*Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if present == nil {
-		return Greedy(in)
-	}
-	if len(present) != in.N {
+	if present != nil && len(present) != in.N {
 		return nil, fmt.Errorf("core: present covers %d sensors, instance has %d", len(present), in.N)
 	}
-	T := in.Period.Slots()
-	removal := ModeFor(in.Period) == ModeRemoval
-	assign := newAssignment(in.N)
-	pending := make([]int, 0, in.N)
-	for v := 0; v < in.N; v++ {
-		if present[v] {
-			pending = append(pending, v)
-		} else {
-			assign[v] = Absent
-		}
-	}
-	oracles := make([]submodular.RemovalOracle, T)
-	for t := range oracles {
-		o := in.Factory()
-		if removal {
-			for _, v := range pending {
-				o.Add(v)
-			}
-		}
-		oracles[t] = o
-	}
-	cache := newMarginCache(in.N, T)
-	var err error
-	if removal {
-		for t := 0; t < T; t++ {
-			fillColumn(cache, t, oracles[t], assign, true)
-		}
-		err = runRemovalLoop(oracles, cache, assign, pending, func(t, changed int) {
-			refreshColumnAfter(cache, t, oracles[t], assign, true, changed)
-		})
-	} else {
-		for t := 0; t < T; t++ {
-			fillColumn(cache, t, oracles[t], assign, false)
-		}
-		err = runPlacementLoop(oracles, cache, assign, pending, func(t, changed int) {
-			refreshColumnAfter(cache, t, oracles[t], assign, false, changed)
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
-	if removal {
-		return NewSchedule(ModeRemoval, T, assign)
-	}
-	return NewSchedule(ModePlacement, T, assign)
+	return greedyOver(in, present)
 }
 
 // ReferenceGreedySubset is the uncached eager-scan counterpart of
@@ -478,7 +397,8 @@ func (h gainHeap) Len() int { return len(h) }
 
 // Less orders by gain descending, breaking ties on (sensor, slot)
 // ascending so that the lazy greedy resolves ties exactly like the
-// eager scan in greedyPlacement and both produce identical schedules.
+// eager scan (and the cached greedy's lowest-(v, t) rule), so both
+// produce identical schedules.
 func (h gainHeap) Less(i, j int) bool {
 	if h[i].gain != h[j].gain {
 		return h[i].gain > h[j].gain

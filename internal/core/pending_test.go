@@ -7,8 +7,8 @@ import (
 
 // These tests pin the compacted pending-list scans to the dense range
 // scans they replaced: identical results (including every tie-break)
-// on random caches, and zero allocations in the steady-state scan the
-// parallel engine runs every step.
+// on random caches, and zero allocations in the steady-state selection
+// the engines run every step.
 
 // randomCacheState builds a cache with random marginals, a random
 // assignment, and the matching compacted ascending pending list for
@@ -35,6 +35,46 @@ func randomCacheState(rng *rand.Rand, n, T, lo, hi int) (*marginCache, []int, []
 		}
 	}
 	return cache, assign, pending
+}
+
+// argmaxRange is the dense reference scan the pending-list scans and
+// the selection trees are checked against: the maximum-gain candidate
+// among unassigned sensors in [lo, hi), scanning sensors then slots in
+// ascending order with a strict > comparison, so ties resolve to the
+// lowest (v, t) pair exactly like the seed's eager scan.
+func (c *marginCache) argmaxRange(lo, hi int, assign []int) candidate {
+	best := candidate{v: -1, t: -1, value: -1}
+	for v := lo; v < hi; v++ {
+		if assign[v] >= 0 {
+			continue
+		}
+		for t := 0; t < c.T; t++ {
+			if g := c.vals[t*c.n+v]; g > best.value {
+				best = candidate{v: v, t: t, value: g}
+			}
+		}
+	}
+	return best
+}
+
+// argminRange is the removal-mode dual of argmaxRange: the minimum-loss
+// candidate among unassigned sensors in [lo, hi), ties to the lowest
+// (v, t).
+func (c *marginCache) argminRange(lo, hi int, assign []int) candidate {
+	best := candidate{v: -1, t: -1}
+	found := false
+	for v := lo; v < hi; v++ {
+		if assign[v] >= 0 {
+			continue
+		}
+		for t := 0; t < c.T; t++ {
+			if l := c.vals[t*c.n+v]; !found || l < best.value {
+				best = candidate{v: v, t: t, value: l}
+				found = true
+			}
+		}
+	}
+	return best
 }
 
 func TestPendingScansMatchRangeScans(t *testing.T) {
@@ -100,21 +140,24 @@ func TestDropPendingPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestPendingScanZeroAlloc gates the parallel engine's steady-state
-// step at zero allocations: the per-worker column refresh over the
-// compacted sublist and both pending scans must reuse the worker's
-// buffers only.
+// TestPendingScanZeroAlloc gates the engines' steady-state selection
+// at zero allocations: the parallel worker's column refresh over the
+// compacted sublist and both pending scans, and the sequential loop's
+// selection-tree repair and root merge, must reuse existing buffers.
 func TestPendingScanZeroAlloc(t *testing.T) {
 	const n, T = 512, 6
 	rng := rand.New(rand.NewSource(5))
 	cache, _, pending := randomCacheState(rng, n, T, 0, n)
+	cache.buildTrees(pending, 1)
 	eval := func(v int) float64 { return float64(v) }
 	if a := testing.AllocsPerRun(100, func() {
 		cache.fillSlotPending(2, pending, eval)
 		_ = cache.argmaxPending(pending)
 		_ = cache.argminPending(pending)
-		_ = cache.argmaxColumn(1, pending)
-		_ = cache.argminColumn(1, pending)
+		cache.written = append(cache.written[:0], int32(pending[0]), int32(pending[len(pending)/2]))
+		cache.repairTree(1, 1)
+		cache.rebuildTree(1, pending, -1)
+		_, _ = cache.best()
 	}); a != 0 {
 		t.Fatalf("pending-list scan allocated %v times per run, want 0", a)
 	}

@@ -110,12 +110,14 @@ type Repairer struct {
 	dirtyBuf   []int
 	pendingBuf []int
 	colTouched []bool
+	// one is the sweep's single-sensor changed list (see refreshMoved).
+	one [1]int
 }
 
 // NewRepairer validates the instance, plans the initial schedule over
 // the full ground set — bit-identical to Greedy(in), via the same
-// runPlacementLoop/runRemovalLoop machinery — and returns the live
-// engine holding the committed schedule.
+// runGreedyLoop — and returns the live engine holding the committed
+// schedule.
 func NewRepairer(in Instance) (*Repairer, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -151,17 +153,16 @@ func NewRepairer(in Instance) (*Repairer, error) {
 	if err := r.runLoop(newPending(in.N)); err != nil {
 		return nil, err
 	}
+	// The whole-fleet selection trees are not kept: later insertions
+	// are perturbation batches, whose trees are small.
+	r.cache.tree = nil
 	return r, nil
 }
 
-// runLoop drives the mode-appropriate greedy insertion loop over
-// pending, with the Repairer's all-sensor cache refresh discipline.
+// runLoop drives the greedy insertion loop over pending, with the
+// Repairer's all-sensor cache refresh discipline.
 func (r *Repairer) runLoop(pending []int) error {
-	refresh := func(t, changed int) { r.refreshOne(t, changed) }
-	if r.removal {
-		return runRemovalLoop(r.oracles, r.cache, r.assign, pending, refresh)
-	}
-	return runPlacementLoop(r.oracles, r.cache, r.assign, pending, refresh)
+	return runGreedyLoop(r.oracles, r.cache, r.assign, pending, r.removal, r.refreshOne)
 }
 
 // fillColumnAll recomputes slot t's entire cache column — every sensor,
@@ -189,19 +190,14 @@ func (r *Repairer) fillColumnAll(t int) {
 }
 
 // refreshOne restores column t after its oracle absorbed a mutation of
-// a single sensor, via the column-sparse refresher when available.
-func (r *Repairer) refreshOne(t, changed int) {
-	o := r.oracles[t]
-	if r.removal {
-		if sr, ok := o.(submodular.SparseLossRefresher); ok {
-			sr.SparseLossRefresh(changed, r.cache.column(t))
-			return
-		}
-	} else if sr, ok := o.(submodular.SparseGainRefresher); ok {
-		sr.SparseGainRefresh(changed, r.cache.column(t))
-		return
+// a single sensor, via the column-sparse refresher when available, and
+// reports whether it rewrote the full column (see runGreedyLoop).
+func (r *Repairer) refreshOne(t, changed int) (full bool) {
+	if sparseRefresh(r.cache, t, r.oracles[t], r.removal, changed) {
+		return false
 	}
 	r.fillColumnAll(t)
+	return true
 }
 
 // refreshBatch restores column t after its oracle absorbed mutations
@@ -223,6 +219,15 @@ func (r *Repairer) refreshBatch(t int, changed []int) {
 		return
 	}
 	r.fillColumnAll(t)
+}
+
+// refreshMoved restores column t after the sweep moved sensor v into or
+// out of its oracle. It goes through the batch refresher with a
+// one-sensor list: the same single-mutation work as refreshOne, minus
+// the written list that only the insertion loop reads.
+func (r *Repairer) refreshMoved(t, v int) {
+	r.one[0] = v
+	r.refreshBatch(t, r.one[:])
 }
 
 // utility returns the committed schedule's period utility Σ_t U(S_t)
@@ -459,6 +464,7 @@ func (r *Repairer) UpdateRho(rho float64) (RepairStats, error) {
 	if err := r.runLoop(r.pendingBuf); err != nil {
 		return RepairStats{}, err
 	}
+	r.cache.tree = nil // as in NewRepairer
 	stats.Utility = r.utility()
 	return stats, nil
 }
@@ -568,7 +574,7 @@ func (r *Repairer) sweepOnce(dirty []int) int {
 			// Re-insert v into its passive slot, then go passive where
 			// the loss is strictly smallest.
 			r.oracles[old].Add(v)
-			r.refreshOne(old, v)
+			r.refreshMoved(old, v)
 			bestT, bestL := old, r.cache.at(v, old)
 			for t := 0; t < r.T; t++ {
 				if t == old {
@@ -579,7 +585,7 @@ func (r *Repairer) sweepOnce(dirty []int) int {
 				}
 			}
 			r.oracles[bestT].Remove(v)
-			r.refreshOne(bestT, v)
+			r.refreshMoved(bestT, v)
 			if bestT != old {
 				r.assign[v] = bestT
 				moves++
@@ -589,7 +595,7 @@ func (r *Repairer) sweepOnce(dirty []int) int {
 		// Placement: lift v out; its gain back at the old slot is the
 		// bar to beat strictly.
 		r.oracles[old].Remove(v)
-		r.refreshOne(old, v)
+		r.refreshMoved(old, v)
 		bestT, bestG := old, r.cache.at(v, old)
 		for t := 0; t < r.T; t++ {
 			if t == old {
@@ -600,7 +606,7 @@ func (r *Repairer) sweepOnce(dirty []int) int {
 			}
 		}
 		r.oracles[bestT].Add(v)
-		r.refreshOne(bestT, v)
+		r.refreshMoved(bestT, v)
 		if bestT != old {
 			r.assign[v] = bestT
 			moves++

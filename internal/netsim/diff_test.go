@@ -221,9 +221,9 @@ func runScript(t testing.TB, seed uint64, nodes, ticks int, cfg Config) {
 
 func TestDifferentialSeeded(t *testing.T) {
 	cfgs := []Config{
-		{},                                        // lossless next-tick
-		{Loss: 0.3, Seed: 11},                     // lossy
-		{Loss: 0.15, MinDelay: 1, MaxDelay: 4},    // jitter
+		{},                                     // lossless next-tick
+		{Loss: 0.3, Seed: 11},                  // lossy
+		{Loss: 0.15, MinDelay: 1, MaxDelay: 4}, // jitter
 		{Loss: 0.5, MinDelay: 2, MaxDelay: 6, Seed: 5}, // lossy + wide jitter
 	}
 	for ci, cfg := range cfgs {

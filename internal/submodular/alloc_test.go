@@ -117,17 +117,22 @@ func TestOracleHotPathAllocations(t *testing.T) {
 				t.Skip("oracle has no sparse refresh (dense-coupling utility)")
 			}
 			// The sparse contract forbids allocation: the dedup scratch
-			// (mark/epoch) lives in the oracle and is reused per call.
+			// (mark/epoch) lives in the oracle and is reused per call,
+			// and a written list with room for every sensor never grows.
 			out := make([]float64, n)
+			written := make([]int32, 0, n)
 			if okG {
 				o.(BulkGainer).BulkGain(out)
-				if a := testing.AllocsPerRun(200, func() { sg.SparseGainRefresh(2, out) }); a != 0 {
+				if a := testing.AllocsPerRun(200, func() { written = sg.SparseGainRefresh(2, out, written[:0]) }); a != 0 {
 					t.Errorf("SparseGainRefresh allocated %v times per run, want 0", a)
+				}
+				if len(written) == 0 {
+					t.Error("SparseGainRefresh listed no rewritten entry, want at least the changed sensor")
 				}
 			}
 			if okL {
 				o.(BulkLosser).BulkLoss(out)
-				if a := testing.AllocsPerRun(200, func() { sl.SparseLossRefresh(2, out) }); a != 0 {
+				if a := testing.AllocsPerRun(200, func() { written = sl.SparseLossRefresh(2, out, written[:0]) }); a != 0 {
 					t.Errorf("SparseLossRefresh allocated %v times per run, want 0", a)
 				}
 			}

@@ -118,6 +118,7 @@ func BenchmarkCoverageSparseGainRefreshDense(b *testing.B) {
 	o := u.Oracle()
 	seedOracle(o, n)
 	out := make([]float64, n)
+	written := make([]int32, 0, n)
 	o.BulkGain(out)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -128,7 +129,7 @@ func BenchmarkCoverageSparseGainRefreshDense(b *testing.B) {
 		} else {
 			o.Add(v)
 		}
-		o.SparseGainRefresh(v, out)
+		written = o.SparseGainRefresh(v, out, written[:0])
 	}
 }
 

@@ -251,15 +251,16 @@ func (o *CoverageOracle) bumpEpoch() {
 // SparseGainRefresh implements SparseGainRefresher: it repairs a gain
 // column after the most recent Add(changed) / Remove(changed) by
 // recomputing changed and the sensors sharing an item whose coverage
-// status may have flipped (see refreshAll) — the batch form with k = 1.
-func (o *CoverageOracle) SparseGainRefresh(changed int, out []float64) {
-	o.refreshAll("SparseGainRefresh", []int{changed}, false, out)
+// status may have flipped (see refreshAll) — the batch form with k = 1
+// — and appends each recomputed sensor to written.
+func (o *CoverageOracle) SparseGainRefresh(changed int, out []float64, written []int32) []int32 {
+	return o.refreshAll("SparseGainRefresh", []int{changed}, false, out, written, true)
 }
 
 // SparseLossRefresh implements SparseLossRefresher: the removal-side
 // dual of SparseGainRefresh.
-func (o *CoverageOracle) SparseLossRefresh(changed int, out []float64) {
-	o.refreshAll("SparseLossRefresh", []int{changed}, true, out)
+func (o *CoverageOracle) SparseLossRefresh(changed int, out []float64, written []int32) []int32 {
+	return o.refreshAll("SparseLossRefresh", []int{changed}, true, out, written, true)
 }
 
 // SparseGainRefreshAll implements SparseGainBatchRefresher: one epoch,
@@ -267,13 +268,13 @@ func (o *CoverageOracle) SparseLossRefresh(changed int, out []float64) {
 // have flipped (see refreshAll) — a sensor under several such items is
 // recomputed exactly once.
 func (o *CoverageOracle) SparseGainRefreshAll(changed []int, out []float64) {
-	o.refreshAll("SparseGainRefreshAll", changed, false, out)
+	o.refreshAll("SparseGainRefreshAll", changed, false, out, nil, false)
 }
 
 // SparseLossRefreshAll implements SparseLossBatchRefresher: the
 // removal-side dual of SparseGainRefreshAll.
 func (o *CoverageOracle) SparseLossRefreshAll(changed []int, out []float64) {
-	o.refreshAll("SparseLossRefreshAll", changed, true, out)
+	o.refreshAll("SparseLossRefreshAll", changed, true, out, nil, false)
 }
 
 // refreshAll is the body of the four column refreshers: it recomputes
@@ -293,8 +294,10 @@ func (o *CoverageOracle) SparseLossRefreshAll(changed []int, out []float64) {
 // they are always recomputed. Every written entry comes from Gain/Loss
 // (recompute, never delta). Cost: Σ over status-flipped items of item
 // degree × sensor degree, plus O(sensor degree) per changed sensor — in
-// a dense field most mutations flip nothing.
-func (o *CoverageOracle) refreshAll(op string, changed []int, loss bool, out []float64) {
+// a dense field most mutations flip nothing. With record set, every
+// recomputed sensor is appended to written, once, and the grown slice
+// is returned.
+func (o *CoverageOracle) refreshAll(op string, changed []int, loss bool, out []float64, written []int32, record bool) []int32 {
 	u := o.u
 	if len(out) != u.n {
 		panic(fmt.Sprintf("submodular: %s buffer %d != ground size %d", op, len(out), u.n))
@@ -316,6 +319,9 @@ func (o *CoverageOracle) refreshAll(op string, changed []int, loss bool, out []f
 				if o.mark[v] != o.epoch {
 					o.mark[v] = o.epoch
 					out[v] = o.marginal(int(v), loss)
+					if record {
+						written = append(written, v)
+					}
 				}
 			}
 		}
@@ -324,8 +330,12 @@ func (o *CoverageOracle) refreshAll(op string, changed []int, loss bool, out []f
 		if o.mark[c] != o.epoch {
 			o.mark[c] = o.epoch
 			out[c] = o.marginal(c, loss)
+			if record {
+				written = append(written, int32(c))
+			}
 		}
 	}
+	return written
 }
 
 // marginal is Loss(v) when loss is set and Gain(v) otherwise.

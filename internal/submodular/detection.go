@@ -316,13 +316,14 @@ func (o *DetectionOracle) bumpEpoch() {
 // per-sensor gains that were exact immediately before the most recent
 // Add(changed) / Remove(changed) on this oracle, it rewrites out so
 // every entry is exact for the current state, touching only the CSR
-// rows of the targets sensor changed covers. Exactness of the
-// untouched entries is definitional: a sensor sharing no target with
-// changed has a gain summing over per-target survivals none of which
-// the mutation altered, so a fresh query would return the same floats.
-// Touched sensors are recomputed via Gain, which the Bulk contract
-// keeps bit-identical to a full BulkGain sweep.
-func (o *DetectionOracle) SparseGainRefresh(changed int, out []float64) {
+// rows of the targets sensor changed covers, and appends every
+// rewritten sensor to written. Exactness of the untouched entries is
+// definitional: a sensor sharing no target with changed has a gain
+// summing over per-target survivals none of which the mutation
+// altered, so a fresh query would return the same floats. Touched
+// sensors are recomputed via Gain, which the Bulk contract keeps
+// bit-identical to a full BulkGain sweep.
+func (o *DetectionOracle) SparseGainRefresh(changed int, out []float64, written []int32) []int32 {
 	u := o.u
 	checkElem(changed, u.n)
 	if len(out) != u.n {
@@ -338,6 +339,7 @@ func (o *DetectionOracle) SparseGainRefresh(changed int, out []float64) {
 			}
 			o.mark[v] = o.epoch
 			out[v] = o.Gain(int(v))
+			written = append(written, v)
 		}
 	}
 	// changed itself covers exactly the swept targets, so it was
@@ -345,15 +347,21 @@ func (o *DetectionOracle) SparseGainRefresh(changed int, out []float64) {
 	// identically 0 either way. The explicit write keeps the
 	// member-entries-are-zero invariant robust without a branch.
 	out[changed] = o.Gain(changed)
+	if o.mark[changed] != o.epoch {
+		o.mark[changed] = o.epoch
+		written = append(written, int32(changed))
+	}
+	return written
 }
 
 // SparseLossRefresh implements SparseLossRefresher: the removal-side
 // dual of SparseGainRefresh, refreshing per-sensor losses after the
 // most recent Add(changed) / Remove(changed) by sweeping only the
-// affected targets' CSR rows. Untouched entries are exact by the same
-// definitional argument; touched entries are recomputed via Loss,
-// bit-identical to a full BulkLoss sweep.
-func (o *DetectionOracle) SparseLossRefresh(changed int, out []float64) {
+// affected targets' CSR rows and appending every rewritten sensor to
+// written. Untouched entries are exact by the same definitional
+// argument; touched entries are recomputed via Loss, bit-identical to
+// a full BulkLoss sweep.
+func (o *DetectionOracle) SparseLossRefresh(changed int, out []float64, written []int32) []int32 {
 	u := o.u
 	checkElem(changed, u.n)
 	if len(out) != u.n {
@@ -369,9 +377,15 @@ func (o *DetectionOracle) SparseLossRefresh(changed int, out []float64) {
 			}
 			o.mark[v] = o.epoch
 			out[v] = o.Loss(int(v))
+			written = append(written, v)
 		}
 	}
 	out[changed] = o.Loss(changed)
+	if o.mark[changed] != o.epoch {
+		o.mark[changed] = o.epoch
+		written = append(written, int32(changed))
+	}
+	return written
 }
 
 // SparseGainRefreshAll implements SparseGainBatchRefresher: one epoch,

@@ -67,11 +67,12 @@ func BenchmarkKernelSparseGainRefresh(b *testing.B) {
 		o.Add(v)
 	}
 	out := make([]float64, u.GroundSize())
+	written := make([]int32, 0, u.GroundSize())
 	o.BulkGain(out)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.SparseGainRefresh(i%u.GroundSize(), out)
+		written = o.SparseGainRefresh(i%u.GroundSize(), out, written[:0])
 	}
 }
 

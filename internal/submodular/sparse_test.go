@@ -98,8 +98,8 @@ func checkSparseAgainstBulk(t testing.TB, o sparseOracle, n int, rng *stats.RNG,
 			o.Add(v)
 		}
 		member[v] = !member[v]
-		o.SparseGainRefresh(v, gainBuf)
-		o.SparseLossRefresh(v, lossBuf)
+		o.SparseGainRefresh(v, gainBuf, nil)
+		o.SparseLossRefresh(v, lossBuf, nil)
 
 		o.BulkGain(fresh)
 		for i := range fresh {
@@ -157,7 +157,7 @@ func TestSparseRefreshOnClone(t *testing.T) {
 	buf := make([]float64, n)
 	parent.BulkGain(buf)
 	parent.Add(0)
-	parent.SparseGainRefresh(0, buf)
+	parent.SparseGainRefresh(0, buf, nil)
 	clone := parent.Clone().(sparseOracle)
 	if !checkSparseAgainstBulk(t, clone, n, rng, 4*n) {
 		t.Fatal("clone sparse refresh diverged from bulk")
@@ -245,7 +245,9 @@ func TestCoverageSparseRefreshSkipsUnflipped(t *testing.T) {
 				out[i] = math.NaN()
 			}
 			if len(tc.changed) == 1 {
-				single(tc.changed[0], out)
+				if w := single(tc.changed[0], out, nil); len(w) != 1 || int(w[0]) != tc.changed[0] {
+					t.Fatalf("loss=%v %s: written list %v, want exactly %v", loss, tc.name, w, tc.changed)
+				}
 			} else {
 				batch(tc.changed, out)
 			}
@@ -308,9 +310,9 @@ func TestCoverageSparseRefreshThresholdBoundary(t *testing.T) {
 				}
 				switch {
 				case single && loss:
-					o.SparseLossRefresh(0, out)
+					o.SparseLossRefresh(0, out, nil)
 				case single:
-					o.SparseGainRefresh(0, out)
+					o.SparseGainRefresh(0, out, nil)
 				case loss:
 					o.SparseLossRefreshAll(changed, out)
 				default:
@@ -322,6 +324,74 @@ func TestCoverageSparseRefreshThresholdBoundary(t *testing.T) {
 						t.Fatalf("k=%d loss=%v single=%v: out[%d] = %v, bulk %v",
 							k, loss, single, v, out[v], want[v])
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestSparseRefreshWrittenList pins the written-list half of the
+// single-mutation contract on both oracles: refreshing a NaN-filled
+// buffer after a random Add/Remove, the listed sensors are exactly the
+// entries written (no other entry leaves NaN), each is listed once,
+// changed is among them, and every listed entry equals a fresh bulk
+// sweep bit for bit. Appending to a non-empty buffer keeps its prefix.
+func TestSparseRefreshWrittenList(t *testing.T) {
+	rng := stats.NewRNG(77)
+	for trial := 0; trial < 60; trial++ {
+		var o sparseOracle
+		var size int
+		if trial%2 == 0 {
+			u := sparseDetectionUtility(t, rng)
+			o, size = u.Oracle(), u.GroundSize()
+		} else {
+			u := sparseCoverageUtility(t, rng)
+			o, size = u.Oracle(), u.GroundSize()
+		}
+		for v := 0; v < size; v++ {
+			if rng.Bernoulli(0.5) {
+				o.Add(v)
+			}
+		}
+		changed := rng.Intn(size)
+		if o.Contains(changed) {
+			o.Remove(changed)
+		} else {
+			o.Add(changed)
+		}
+		for _, loss := range []bool{false, true} {
+			out, want := make([]float64, size), make([]float64, size)
+			for i := range out {
+				out[i] = math.NaN()
+			}
+			prefix := []int32{-7}
+			var written []int32
+			if loss {
+				written = o.SparseLossRefresh(changed, out, prefix)
+				o.BulkLoss(want)
+			} else {
+				written = o.SparseGainRefresh(changed, out, prefix)
+				o.BulkGain(want)
+			}
+			if written[0] != -7 {
+				t.Fatalf("trial %d loss=%v: prefix overwritten: %v", trial, loss, written)
+			}
+			listed := make([]bool, size)
+			for _, u := range written[1:] {
+				if listed[u] {
+					t.Fatalf("trial %d loss=%v: sensor %d listed twice", trial, loss, u)
+				}
+				listed[u] = true
+			}
+			if !listed[changed] {
+				t.Fatalf("trial %d loss=%v: changed sensor %d not listed", trial, loss, changed)
+			}
+			for v := range out {
+				switch {
+				case listed[v] && math.Float64bits(out[v]) != math.Float64bits(want[v]):
+					t.Fatalf("trial %d loss=%v: listed out[%d] = %v, bulk %v", trial, loss, v, out[v], want[v])
+				case !listed[v] && !math.IsNaN(out[v]):
+					t.Fatalf("trial %d loss=%v: out[%d] written but not listed", trial, loss, v)
 				}
 			}
 		}

@@ -127,19 +127,30 @@ type BulkLosser interface {
 // which is what makes the sparse sweep an exactness-preserving
 // replacement for a full column refresh, not an approximation.
 //
+// Written list: SparseGainRefresh appends to written every element u
+// whose out[u] it wrote, each exactly once and in any order, and
+// returns the grown slice; every entry not listed is left untouched.
+// An element may be listed even though its value did not change (it
+// was recomputed), and changed itself is always listed. Callers pass a
+// reused buffer (typically buf[:0]) and may use the list to update
+// structures derived from out — the sequential greedy re-keys just
+// those leaves of its per-slot selection tree instead of rescanning
+// the column.
+//
 // SparseGainRefresh may use internal scratch (it is NOT a concurrent
-// read in the ConcurrentReadSafe sense) and must not allocate. The
-// sequential greedy engine uses it to refresh the dirty slot column
-// after each step in O(affected) instead of O(n + edges).
+// read in the ConcurrentReadSafe sense) and must not allocate beyond
+// growing written past its capacity. The sequential greedy engine uses
+// it to refresh the dirty slot column after each step in O(affected)
+// instead of O(n + edges).
 type SparseGainRefresher interface {
-	SparseGainRefresh(changed int, out []float64)
+	SparseGainRefresh(changed int, out []float64, written []int32) []int32
 }
 
 // SparseLossRefresher is the removal-side dual of SparseGainRefresher:
-// the same contract with Loss/BulkLoss in place of Gain/BulkGain
-// (member entries carry losses, non-members 0).
+// the same contract, written list included, with Loss/BulkLoss in
+// place of Gain/BulkGain (member entries carry losses, non-members 0).
 type SparseLossRefresher interface {
-	SparseLossRefresh(changed int, out []float64)
+	SparseLossRefresh(changed int, out []float64, written []int32) []int32
 }
 
 // SparseGainBatchRefresher is the k-mutation form of
